@@ -6,14 +6,13 @@
 //! `--key-bits <n>`, workload with `--queries <n>`, parked crowd with
 //! `--idle-conns <n>`). Three sections:
 //!
-//! * **transport** — the same verified `query_terms` workload against
-//!   the threaded core and the epoll reactor, reporting syscalls per
-//!   query (accepts + reads + writes + polls from
-//!   [`authsearch_core::TransportStats`], divided by `requests_ok`),
-//!   allocations and allocated bytes per reply (counting global
-//!   allocator; process-wide, so the client's share is included on
-//!   both sides — the *cross-core delta* is the signal), and reply
-//!   bytes on the wire (`bytes_out / requests_ok`);
+//! * **transport** — a verified `query_terms` workload against the
+//!   reactor, reporting syscalls per query (accepts + reads + writes +
+//!   polls from [`authsearch_core::TransportStats`], divided by
+//!   `requests_ok`), allocations and allocated bytes per reply
+//!   (counting global allocator; process-wide, so the client's share
+//!   is included), and reply bytes on the wire
+//!   (`bytes_out / requests_ok`);
 //! * **idle capacity** — the reactor parks `--idle-conns` raw
 //!   connections, serves verified traffic past them, and proves a
 //!   sample still answers. Honest caveats: both endpoints are
@@ -32,7 +31,7 @@
 use authsearch_bench::json::{num, Json};
 use authsearch_core::{AuthConfig, DataOwner, Mechanism, SearchEngine, VerifierParams};
 use authsearch_core::{
-    Connection, Server, ServerConfig, ServerCore, ServerMetricsSnapshot, TransportStatsSnapshot,
+    Connection, Server, ServerConfig, ServerMetricsSnapshot, TransportStatsSnapshot,
 };
 use authsearch_corpus::SyntheticConfig;
 use authsearch_crypto::bignum::bench_kernels::{redc_reps, BenchKernel};
@@ -140,22 +139,8 @@ fn main() {
 
     let (engine, params, workloads) = fixture(scale_frac, key_bits);
 
-    eprintln!("bench_pr9: transport workload on the threaded core...");
-    let threaded = transport_run(
-        ServerCore::Threaded,
-        &engine,
-        params.clone(),
-        &workloads,
-        num_queries,
-    );
-    eprintln!("bench_pr9: transport workload on the reactor core...");
-    let reactor = transport_run(
-        ServerCore::Reactor,
-        &engine,
-        params.clone(),
-        &workloads,
-        num_queries,
-    );
+    eprintln!("bench_pr9: transport workload on the reactor...");
+    let reactor = transport_run(&engine, params.clone(), &workloads, num_queries);
 
     eprintln!("bench_pr9: parking {idle_conns} idle connections on the reactor...");
     let idle = idle_run(&engine, params, &workloads, idle_conns);
@@ -173,7 +158,6 @@ fn main() {
         scale_frac,
         key_bits,
         num_queries,
-        &threaded,
         &reactor,
         &idle,
         &kernels,
@@ -215,9 +199,8 @@ fn fixture(scale_frac: f64, key_bits: usize) -> Fixture {
 }
 
 /// One transport measurement: syscall, allocation, and wire-byte costs
-/// of `queries` verified roundtrips against the given core.
+/// of `queries` verified roundtrips against the reactor.
 struct TransportRow {
-    core: &'static str,
     queries: u64,
     elapsed: Duration,
     transport: TransportStatsSnapshot,
@@ -227,21 +210,13 @@ struct TransportRow {
 }
 
 fn transport_run(
-    core: ServerCore,
     engine: &Arc<SearchEngine>,
     params: VerifierParams,
     workloads: &[Vec<(u32, u32)>],
     queries: usize,
 ) -> TransportRow {
-    let handle = Server::start(
-        Arc::clone(engine),
-        "127.0.0.1:0",
-        ServerConfig {
-            core,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
+    let handle = Server::start(Arc::clone(engine), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind loopback");
     let mut connection = Connection::connect(handle.addr(), params).expect("connect");
 
     // Warm both sides (cache fills, lazy buffers) outside the window.
@@ -263,10 +238,6 @@ fn transport_run(
     drop(connection);
     let metrics = handle.shutdown();
     TransportRow {
-        core: match core {
-            ServerCore::Reactor => "reactor",
-            ServerCore::Threaded => "threaded",
-        },
         queries: queries as u64,
         elapsed,
         transport: TransportStatsSnapshot {
@@ -301,7 +272,6 @@ fn idle_run(
         Arc::clone(engine),
         "127.0.0.1:0",
         ServerConfig {
-            core: ServerCore::Reactor,
             max_connections: target + 16,
             idle_deadline: Duration::ZERO, // parked forever is legal here
             ..ServerConfig::default()
@@ -474,12 +444,10 @@ fn per_query(total: u64, queries: u64) -> f64 {
     total as f64 / queries.max(1) as f64
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render(
     scale_frac: f64,
     key_bits: usize,
     num_queries: usize,
-    threaded: &TransportRow,
     reactor: &TransportRow,
     idle: &IdleRow,
     kernels: &[KernelRow],
@@ -494,45 +462,51 @@ fn render(
     json.close(1, false);
 
     json.open(1, "transport");
-    for (row, last) in [(threaded, false), (reactor, true)] {
-        json.open(2, row.core);
-        let q = row.queries;
-        let syscalls = row.transport.accepts
-            + row.transport.reads
-            + row.transport.writes
-            + row.transport.polls;
-        json.field(3, "queries", &q.to_string(), false);
-        json.field(
-            3,
-            "queries_per_sec",
-            &num(q as f64 / row.elapsed.as_secs_f64()),
-            false,
-        );
-        json.field(3, "reads", &row.transport.reads.to_string(), false);
-        json.field(3, "writes", &row.transport.writes.to_string(), false);
-        json.field(3, "polls", &row.transport.polls.to_string(), false);
-        json.field(3, "syscalls_per_query", &num(per_query(syscalls, q)), false);
-        json.field(
-            3,
-            "allocs_per_reply_process_wide",
-            &num(per_query(row.allocs, q)),
-            false,
-        );
-        json.field(
-            3,
-            "alloc_bytes_per_reply_process_wide",
-            &num(per_query(row.alloc_bytes, q)),
-            false,
-        );
-        json.field(
-            3,
-            "reply_bytes_per_query",
-            &num(per_query(row.metrics.bytes_out, row.metrics.requests_ok)),
-            false,
-        );
-        json.field(3, "requests_ok", &row.metrics.requests_ok.to_string(), true);
-        json.close(2, last);
-    }
+    json.open(2, "reactor");
+    let q = reactor.queries;
+    let syscalls = reactor.transport.accepts
+        + reactor.transport.reads
+        + reactor.transport.writes
+        + reactor.transport.polls;
+    json.field(3, "queries", &q.to_string(), false);
+    json.field(
+        3,
+        "queries_per_sec",
+        &num(q as f64 / reactor.elapsed.as_secs_f64()),
+        false,
+    );
+    json.field(3, "reads", &reactor.transport.reads.to_string(), false);
+    json.field(3, "writes", &reactor.transport.writes.to_string(), false);
+    json.field(3, "polls", &reactor.transport.polls.to_string(), false);
+    json.field(3, "syscalls_per_query", &num(per_query(syscalls, q)), false);
+    json.field(
+        3,
+        "allocs_per_reply_process_wide",
+        &num(per_query(reactor.allocs, q)),
+        false,
+    );
+    json.field(
+        3,
+        "alloc_bytes_per_reply_process_wide",
+        &num(per_query(reactor.alloc_bytes, q)),
+        false,
+    );
+    json.field(
+        3,
+        "reply_bytes_per_query",
+        &num(per_query(
+            reactor.metrics.bytes_out,
+            reactor.metrics.requests_ok,
+        )),
+        false,
+    );
+    json.field(
+        3,
+        "requests_ok",
+        &reactor.metrics.requests_ok.to_string(),
+        true,
+    );
+    json.close(2, true);
     json.close(1, false);
 
     json.open(1, "idle_capacity_reactor");

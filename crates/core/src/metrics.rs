@@ -97,11 +97,9 @@ impl ServerMetrics {
     }
 }
 
-/// Transport-level syscall counters, kept **separate** from
-/// [`ServerMetrics`] so that snapshot-equality comparisons between the
-/// threaded and reactor server cores stay meaningful: the two cores
-/// produce byte-identical `ServerMetrics`, but necessarily different
-/// syscall mixes (the whole point of the reactor is fewer of them).
+/// Transport-level syscall counters, kept apart from
+/// [`ServerMetrics`]: these count how the server moved bytes, not what
+/// it served.
 ///
 /// Read with [`TransportStats::snapshot`]; divide by `requests_ok` for
 /// the syscalls-per-query figure reported in `BENCH_PR9.json`.
@@ -114,9 +112,8 @@ pub struct TransportStats {
     pub reads: AtomicU64,
     /// `write(2)`/`writev(2)` calls issued on connection sockets.
     pub writes: AtomicU64,
-    /// Readiness waits: `epoll_wait(2)` returns on the reactor core,
-    /// blocking-read poll ticks (`WouldBlock` wakeups) on the threaded
-    /// core.
+    /// Readiness waits: `epoll_wait(2)` (Linux) or `poll(2)` (other
+    /// unixes) calls by the event loop.
     pub polls: AtomicU64,
 }
 

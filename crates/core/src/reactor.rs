@@ -1,9 +1,8 @@
-//! Minimal readiness reactor over raw Linux `epoll` — a hand-rolled
-//! `mio` subset, std-only.
+//! Minimal readiness reactor — a hand-rolled `mio` subset, std-only.
 //!
 //! No async runtime or I/O crate exists in this build environment, so
 //! the event-driven server core ([`crate::server`]) carries its own
-//! readiness layer: [`Poll`] wraps an `epoll` instance created and
+//! readiness layer: [`Poll`] wraps the platform's readiness syscall,
 //! driven through direct C-ABI declarations (the symbols are in the
 //! libc that `std` already links — no new dependency), [`Token`] and
 //! [`Interest`] mirror their `mio` namesakes, [`Waker`] provides the
@@ -12,11 +11,23 @@
 //! and frame deadlines into O(1)-per-tick bookkeeping instead of
 //! per-connection poll intervals.
 //!
-//! **Platform surface:** `epoll` is Linux-only, and so is this module
-//! (`#[cfg(target_os = "linux")]` at the `lib.rs` declaration). On
-//! other platforms the server falls back to the threaded
-//! connection-per-thread core, which is pure std and runs everywhere —
-//! see [`crate::server::ServerCore`] for the selection story.
+//! **Backends.** [`Poll::new`] selects one, once, by target: `epoll`
+//! on Linux, POSIX `poll(2)` on every other unix. Both sit behind the
+//! same `Token`/`Interest`/`Events`/`Waker` surface. `epoll` keeps the
+//! interest set in the kernel, so a parked connection costs nothing per
+//! wakeup; `poll(2)` hands the whole set to the kernel on every call
+//! (O(registered fds) per wakeup), the price of running where `epoll`
+//! does not exist. Two `epoll` behaviours do not carry over, so callers
+//! rely on neither:
+//!
+//! * closing an fd does not remove it from a `poll(2)` set, where it
+//!   would report `POLLNVAL` or alias a reused fd number — always
+//!   [`Poll::deregister`] before closing;
+//! * `EPOLLRDHUP` has no portable equivalent — a peer's half-close
+//!   shows up as readable (the read returns 0) or as a hangup.
+//!
+//! The `poll(2)` backend also compiles under `cfg(test)` on Linux, so
+//! both backends run the same unit tests.
 //!
 //! Registration is **level-triggered**: a socket with unread bytes (or
 //! writable space) is reported on every [`Poll::poll`] until the
@@ -32,32 +43,20 @@ use std::os::raw::c_int;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
-/// One `struct epoll_event`, ABI-compatible with the kernel's. On
-/// x86-64 the kernel declares it packed (a 12-byte struct); other
-/// architectures use natural alignment.
+/// One readiness slot, ABI-compatible with the kernel's `struct
+/// epoll_event`. On x86-64 the kernel declares it packed (a 12-byte
+/// struct); other architectures use natural alignment. The `poll(2)`
+/// backend fills the same slots, so [`Events`] is one buffer for both.
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Clone, Copy)]
-struct EpollEvent {
+struct RawEvent {
     events: u32,
     data: u64,
 }
 
-// The epoll syscall wrappers from the libc that std links. Declared by
-// hand because no `libc` crate exists in this image; signatures match
-// epoll_create1(2), epoll_ctl(2), epoll_wait(2), close(2).
-extern "C" {
-    fn epoll_create1(flags: c_int) -> c_int;
-    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn close(fd: c_int) -> c_int;
-}
-
-const EPOLL_CLOEXEC: c_int = 0o2000000;
-const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
-const EPOLL_CTL_MOD: c_int = 3;
-
+// Readiness bits in `epoll`'s encoding, which [`Interest`] and
+// [`Event`] carry on every backend; `poll(2)` results are translated.
 const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
@@ -71,8 +70,9 @@ pub struct Token(pub u64);
 
 /// Which readiness conditions a registration subscribes to. An empty
 /// interest keeps the fd registered (errors and hangups are always
-/// reported by epoll) but delivers no read/write readiness — the state
-/// the server parks a connection in while its query runs on the pool.
+/// reported, by either backend) but delivers no read/write readiness —
+/// the state the server parks a connection in while its query runs on
+/// the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     bits: u32,
@@ -81,7 +81,8 @@ pub struct Interest {
 impl Interest {
     /// No readiness subscription (errors/hangups still delivered).
     pub const NONE: Interest = Interest { bits: 0 };
-    /// Readable readiness (includes peer half-close via `EPOLLRDHUP`).
+    /// Readable readiness (includes peer half-close: `EPOLLRDHUP` under
+    /// `epoll`, `POLLIN`/`POLLHUP` under `poll(2)`).
     pub const READABLE: Interest = Interest {
         bits: EPOLLIN | EPOLLRDHUP,
     };
@@ -135,8 +136,8 @@ impl Event {
         self.bits & EPOLLOUT != 0
     }
 
-    /// The fd is in an error state (e.g. connection reset); the owner
-    /// should close it.
+    /// The fd is in an error state (e.g. connection reset, or an fd
+    /// `poll(2)` reports invalid); the owner should close it.
     pub fn is_error(&self) -> bool {
         self.bits & EPOLLERR != 0
     }
@@ -149,19 +150,19 @@ impl Event {
 
 /// Reusable buffer of readiness events for [`Poll::poll`].
 pub struct Events {
-    buf: Vec<EpollEvent>,
+    buf: Vec<RawEvent>,
     len: usize,
 }
 
 impl Events {
     /// An event buffer receiving at most `capacity` events per poll,
-    /// clamped to `[1, 4096]` — a bigger batch per `epoll_wait` return
-    /// buys nothing, and the clamp keeps the preallocation bounded.
+    /// clamped to `[1, 4096]` — a bigger batch per wait buys nothing,
+    /// and the clamp keeps the preallocation bounded.
     // lint:allow(unclamped-prealloc): this is the definition, not a call — the body clamps the operator-chosen capacity to [1, 4096] on the next line
     pub fn with_capacity(capacity: usize) -> Events {
         let capacity = capacity.clamp(1, 4096);
         Events {
-            buf: vec![EpollEvent { events: 0, data: 0 }; capacity],
+            buf: vec![RawEvent { events: 0, data: 0 }; capacity],
             len: 0,
         }
     }
@@ -185,54 +186,66 @@ impl Events {
     }
 }
 
-/// An `epoll` instance: register fds with a [`Token`] and an
+/// A readiness poller: register fds with a [`Token`] and an
 /// [`Interest`], then [`Poll::poll`] for readiness.
 pub struct Poll {
-    epfd: RawFd,
+    backend: Backend,
+}
+
+enum Backend {
+    #[cfg(target_os = "linux")]
+    Epoll(epoll::Epoll),
+    #[cfg(any(test, not(target_os = "linux")))]
+    PollSet(pollset::PollSet),
+}
+
+/// Evaluate `$call` with `$b` bound to whichever backend `$backend`
+/// holds; both backends expose the same method names.
+macro_rules! on_backend {
+    ($backend:expr, $b:ident => $call:expr) => {
+        match $backend {
+            #[cfg(target_os = "linux")]
+            Backend::Epoll($b) => $call,
+            #[cfg(any(test, not(target_os = "linux")))]
+            Backend::PollSet($b) => $call,
+        }
+    };
 }
 
 impl Poll {
-    /// Create a new epoll instance (`EPOLL_CLOEXEC`).
+    /// Create a poller on the platform's backend: `epoll` on Linux,
+    /// `poll(2)` on every other unix.
     pub fn new() -> io::Result<Poll> {
-        // SAFETY: epoll_create1 takes a flags word and returns an fd or
-        // -1; no pointers cross the boundary.
-        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Poll { epfd })
+        #[cfg(target_os = "linux")]
+        let backend = Backend::Epoll(epoll::Epoll::new()?);
+        #[cfg(not(target_os = "linux"))]
+        let backend = Backend::PollSet(pollset::PollSet::default());
+        Ok(Poll { backend })
     }
 
-    fn ctl(&self, op: c_int, fd: RawFd, bits: u32, token: Token) -> io::Result<()> {
-        let mut ev = EpollEvent {
-            events: bits,
-            data: token.0,
-        };
-        // SAFETY: `ev` outlives the call; the kernel copies it before
-        // returning. For EPOLL_CTL_DEL the kernel ignores the pointer
-        // (passing a valid one keeps pre-2.6.9 semantics happy anyway).
-        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+    /// A poller on the `poll(2)` backend whatever the platform, so Linux
+    /// tests run the backend other unixes ship.
+    #[cfg(test)]
+    pub(crate) fn with_poll_backend() -> io::Result<Poll> {
+        Ok(Poll {
+            backend: Backend::PollSet(pollset::PollSet::default()),
+        })
     }
 
     /// Start watching `fd` (level-triggered) under `token`.
-    pub fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, interest.bits, token)
+    pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        on_backend!(&mut self.backend, b => b.register(fd, token, interest))
     }
 
     /// Change an existing registration's interest (and/or token).
-    pub fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, interest.bits, token)
+    pub fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        on_backend!(&mut self.backend, b => b.reregister(fd, token, interest))
     }
 
-    /// Stop watching `fd`. Closing an fd deregisters it implicitly, but
-    /// an explicit deregister keeps the registration set in sync when a
-    /// socket must outlive its registration (e.g. handing it off).
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, Token(0))
+    /// Stop watching `fd`. Call it before closing the fd: only `epoll`
+    /// forgets a closed fd on its own.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        on_backend!(&mut self.backend, b => b.deregister(fd))
     }
 
     /// Block until at least one registered fd is ready, `timeout`
@@ -240,7 +253,7 @@ impl Poll {
     /// number of events written into `events`. `EINTR` retries
     /// internally with the timeout re-derived, so callers never see
     /// spurious zero-event wakeups from signals.
-    pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
+    pub fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<usize> {
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
             let timeout_ms: c_int = match deadline {
@@ -255,49 +268,345 @@ impl Poll {
                     c_int::try_from(ms.min(86_400_000)).unwrap_or(c_int::MAX)
                 }
             };
-            let max = c_int::try_from(events.buf.len()).unwrap_or(c_int::MAX);
-            // SAFETY: the buffer holds `events.buf.len()` properly
-            // initialized EpollEvent slots and `max` never exceeds it.
-            let rc = unsafe { epoll_wait(self.epfd, events.buf.as_mut_ptr(), max, timeout_ms) };
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
+            let waited = on_backend!(&mut self.backend, b => b.wait(&mut events.buf, timeout_ms));
+            match waited {
+                Ok(n) => {
+                    events.len = n.min(events.buf.len());
+                    return Ok(events.len);
+                }
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {
                     events.len = 0;
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         return Ok(0);
                     }
-                    continue;
                 }
-                events.len = 0;
-                return Err(err);
+                Err(err) => {
+                    events.len = 0;
+                    return Err(err);
+                }
             }
-            let n = usize::try_from(rc).unwrap_or(0);
-            events.len = n.min(events.buf.len());
-            return Ok(events.len);
         }
     }
 }
 
-impl Drop for Poll {
-    fn drop(&mut self) {
-        // SAFETY: we own the fd and drop it exactly once; no other
-        // wrapper closes it, so the descriptor cannot be reused by a
-        // concurrent open between here and the syscall.
-        let rc = unsafe { close(self.epfd) };
-        debug_assert!(
-            rc == 0,
-            "close(epfd {}) failed: {}",
-            self.epfd,
-            io::Error::last_os_error()
-        );
+/// The Linux backend: an `epoll` instance holding the interest set in
+/// the kernel.
+#[cfg(target_os = "linux")]
+mod epoll {
+    use super::{Interest, RawEvent, Token};
+    use std::io;
+    use std::os::fd::RawFd;
+    use std::os::raw::c_int;
+
+    // The epoll syscall wrappers from the libc that std links. Declared
+    // by hand because no `libc` crate exists in this image; signatures
+    // match epoll_create1(2), epoll_ctl(2), epoll_wait(2), close(2).
+    extern "C" {
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut RawEvent) -> c_int;
+        fn epoll_wait(
+            epfd: c_int,
+            events: *mut RawEvent,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
+        fn close(fd: c_int) -> c_int;
+    }
+
+    const EPOLL_CLOEXEC: c_int = 0o2000000;
+    const EPOLL_CTL_ADD: c_int = 1;
+    const EPOLL_CTL_DEL: c_int = 2;
+    const EPOLL_CTL_MOD: c_int = 3;
+
+    pub(super) struct Epoll {
+        epfd: RawFd,
+    }
+
+    impl Epoll {
+        /// Create a new epoll instance (`EPOLL_CLOEXEC`).
+        pub(super) fn new() -> io::Result<Epoll> {
+            // SAFETY: epoll_create1 takes a flags word and returns an fd
+            // or -1; no pointers cross the boundary.
+            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            if epfd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Epoll { epfd })
+        }
+
+        fn ctl(&self, op: c_int, fd: RawFd, bits: u32, token: Token) -> io::Result<()> {
+            let mut ev = RawEvent {
+                events: bits,
+                data: token.0,
+            };
+            // SAFETY: `ev` outlives the call; the kernel copies it before
+            // returning. For EPOLL_CTL_DEL the kernel ignores the pointer
+            // (passing a valid one keeps pre-2.6.9 semantics happy anyway).
+            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
+            if rc < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(())
+        }
+
+        pub(super) fn register(
+            &self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, interest.bits, token)
+        }
+
+        pub(super) fn reregister(
+            &self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, interest.bits, token)
+        }
+
+        pub(super) fn deregister(&self, fd: RawFd) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_DEL, fd, 0, Token(0))
+        }
+
+        /// One `epoll_wait` into `buf`; returns how many slots it filled.
+        pub(super) fn wait(&self, buf: &mut [RawEvent], timeout_ms: c_int) -> io::Result<usize> {
+            let max = c_int::try_from(buf.len()).unwrap_or(c_int::MAX);
+            // SAFETY: the buffer holds `buf.len()` properly initialized
+            // RawEvent slots and `max` never exceeds it.
+            let rc = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), max, timeout_ms) };
+            if rc < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(usize::try_from(rc).unwrap_or(0))
+        }
+    }
+
+    impl Drop for Epoll {
+        fn drop(&mut self) {
+            // SAFETY: we own the fd and drop it exactly once; no other
+            // wrapper closes it, so the descriptor cannot be reused by a
+            // concurrent open between here and the syscall.
+            let rc = unsafe { close(self.epfd) };
+            debug_assert!(
+                rc == 0,
+                "close(epfd {}) failed: {}",
+                self.epfd,
+                io::Error::last_os_error()
+            );
+        }
+    }
+}
+
+/// The portable backend: the interest set lives in user space and is
+/// handed whole to `poll(2)` on every wait.
+#[cfg(any(test, not(target_os = "linux")))]
+mod pollset {
+    use super::{Interest, RawEvent, Token, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+    use std::collections::HashMap;
+    use std::io;
+    use std::os::fd::RawFd;
+    use std::os::raw::{c_int, c_short};
+
+    /// POSIX `struct pollfd`.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    // `nfds_t`: `unsigned long` on Linux and illumos, `unsigned int` on
+    // macOS and the BSDs.
+    #[cfg(any(
+        target_os = "linux",
+        target_os = "android",
+        target_os = "illumos",
+        target_os = "solaris"
+    ))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(
+        target_os = "linux",
+        target_os = "android",
+        target_os = "illumos",
+        target_os = "solaris"
+    )))]
+    type Nfds = std::os::raw::c_uint;
+
+    // poll(2) from the libc that std links, declared by hand like the
+    // epoll family.
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    // The POSIX event bits; Linux, macOS, the BSDs and illumos share
+    // these values.
+    const POLLIN: c_short = 0x001;
+    const POLLOUT: c_short = 0x004;
+    const POLLERR: c_short = 0x008;
+    const POLLHUP: c_short = 0x010;
+    const POLLNVAL: c_short = 0x020;
+
+    /// The registration set: `pollfd` entries and their tokens side by
+    /// side, plus an fd → slot map so (re|de)registration is O(1).
+    #[derive(Default)]
+    pub(super) struct PollSet {
+        fds: Vec<PollFd>,
+        tokens: Vec<Token>,
+        slots: HashMap<RawFd, usize>,
+        /// Where the next scan of ready entries starts, so a full event
+        /// buffer does not starve the entries behind it.
+        cursor: usize,
+    }
+
+    fn poll_events(interest: Interest) -> c_short {
+        let mut events = 0;
+        if interest.is_readable() {
+            events |= POLLIN;
+        }
+        if interest.is_writable() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
+    /// Translate `revents` into the `epoll` bits [`super::Event`] reads.
+    /// An invalid fd (`POLLNVAL`) reads as an error so its owner closes
+    /// it.
+    fn readiness(revents: c_short) -> u32 {
+        let mut bits = 0;
+        if revents & POLLIN != 0 {
+            bits |= EPOLLIN;
+        }
+        if revents & POLLOUT != 0 {
+            bits |= EPOLLOUT;
+        }
+        if revents & (POLLERR | POLLNVAL) != 0 {
+            bits |= EPOLLERR;
+        }
+        if revents & POLLHUP != 0 {
+            bits |= EPOLLHUP;
+        }
+        bits
+    }
+
+    fn not_registered(fd: RawFd) -> io::Error {
+        io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("fd {fd} is not registered"),
+        )
+    }
+
+    impl PollSet {
+        pub(super) fn register(
+            &mut self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
+            if self.slots.contains_key(&fd) {
+                return Err(io::Error::new(
+                    io::ErrorKind::AlreadyExists,
+                    format!("fd {fd} is already registered"),
+                ));
+            }
+            self.slots.insert(fd, self.fds.len());
+            self.fds.push(PollFd {
+                fd,
+                events: poll_events(interest),
+                revents: 0,
+            });
+            self.tokens.push(token);
+            Ok(())
+        }
+
+        pub(super) fn reregister(
+            &mut self,
+            fd: RawFd,
+            token: Token,
+            interest: Interest,
+        ) -> io::Result<()> {
+            let slot = *self.slots.get(&fd).ok_or_else(|| not_registered(fd))?;
+            match (self.fds.get_mut(slot), self.tokens.get_mut(slot)) {
+                (Some(entry), Some(slot_token)) => {
+                    entry.events = poll_events(interest);
+                    *slot_token = token;
+                    Ok(())
+                }
+                _ => Err(not_registered(fd)),
+            }
+        }
+
+        pub(super) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+            let slot = self.slots.remove(&fd).ok_or_else(|| not_registered(fd))?;
+            if slot >= self.fds.len() || slot >= self.tokens.len() {
+                return Err(not_registered(fd));
+            }
+            // Fill the hole with the last entry and repoint its slot.
+            self.fds.swap_remove(slot);
+            self.tokens.swap_remove(slot);
+            if let Some(moved) = self.fds.get(slot) {
+                self.slots.insert(moved.fd, slot);
+            }
+            Ok(())
+        }
+
+        /// One `poll(2)` over the whole set, copying ready entries into
+        /// `buf`; returns how many slots it filled.
+        pub(super) fn wait(
+            &mut self,
+            buf: &mut [RawEvent],
+            timeout_ms: c_int,
+        ) -> io::Result<usize> {
+            let nfds = Nfds::try_from(self.fds.len()).map_err(|_| {
+                io::Error::new(io::ErrorKind::InvalidInput, "too many fds for poll(2)")
+            })?;
+            // SAFETY: `fds` holds `nfds` initialized pollfd entries,
+            // exclusively borrowed for the call; the kernel writes only
+            // their `revents` fields and keeps no pointer past return.
+            let rc = unsafe { poll(self.fds.as_mut_ptr(), nfds, timeout_ms) };
+            if rc < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            let mut ready = usize::try_from(rc).unwrap_or(0);
+            let len = self.fds.len();
+            let start = if len == 0 { 0 } else { self.cursor % len };
+            let mut filled = 0;
+            for i in (start..len).chain(0..start) {
+                if ready == 0 {
+                    break;
+                }
+                let (Some(entry), Some(token)) = (self.fds.get(i), self.tokens.get(i)) else {
+                    break;
+                };
+                if entry.revents == 0 {
+                    continue;
+                }
+                let Some(out) = buf.get_mut(filled) else {
+                    // Buffer full: the next wait starts here.
+                    self.cursor = i;
+                    break;
+                };
+                *out = RawEvent {
+                    events: readiness(entry.revents),
+                    data: token.0,
+                };
+                filled += 1;
+                ready -= 1;
+            }
+            Ok(filled)
+        }
     }
 }
 
 /// Cross-thread wakeup for a blocked [`Poll::poll`].
 ///
 /// Implemented over a nonblocking `UnixStream` pair instead of an
-/// `eventfd` so the only raw syscalls in this module are the epoll
-/// family: the read half is registered with the poll (readable
+/// `eventfd` so it needs no syscall beyond what std wraps and works on
+/// every backend: the read half is registered with the poll (readable
 /// interest) and [`Waker::wake`] writes one byte into the write half
 /// from any thread. Wakes coalesce — a full pipe means a wake is
 /// already pending, which is exactly the semantic wanted.
@@ -498,96 +807,181 @@ impl TimerWheel {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::os::fd::AsRawFd;
+
+    type NewPoll = fn() -> io::Result<Poll>;
+
+    /// Every backend a test can build: the platform default and the
+    /// `poll(2)` backend (the same one off Linux).
+    const BACKENDS: [(&str, NewPoll); 2] =
+        [("default", Poll::new), ("poll(2)", Poll::with_poll_backend)];
 
     #[test]
     fn poll_reports_readable_unix_stream() {
-        let poll = Poll::new().unwrap();
-        let (a, b) = UnixStream::pair().unwrap();
-        b.set_nonblocking(true).unwrap();
-        {
-            use std::os::fd::AsRawFd;
+        for (backend, new_poll) in BACKENDS {
+            let mut poll = new_poll().unwrap();
+            let (a, b) = UnixStream::pair().unwrap();
+            b.set_nonblocking(true).unwrap();
             poll.register(b.as_raw_fd(), Token(7), Interest::READABLE)
                 .unwrap();
+            let mut events = Events::with_capacity(8);
+            // Nothing to read yet: a short poll times out empty.
+            let n = poll
+                .poll(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+            assert_eq!(n, 0, "{backend}");
+            (&a).write_all(b"x").unwrap();
+            let n = poll
+                .poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(n, 1, "{backend}");
+            let ev = events.iter().next().unwrap();
+            assert_eq!(ev.token(), Token(7), "{backend}");
+            assert!(ev.is_readable(), "{backend}");
+            assert!(!ev.is_writable(), "{backend}");
+            let mut byte = [0u8; 1];
+            (&b).read_exact(&mut byte).unwrap();
+            assert_eq!(&byte, b"x", "{backend}");
         }
-        let mut events = Events::with_capacity(8);
-        // Nothing to read yet: a short poll times out empty.
-        let n = poll
-            .poll(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert_eq!(n, 0);
-        (&a).write_all(b"x").unwrap();
-        let n = poll
-            .poll(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(n, 1);
-        let ev = events.iter().next().unwrap();
-        assert_eq!(ev.token(), Token(7));
-        assert!(ev.is_readable());
-        assert!(!ev.is_writable());
-        let mut byte = [0u8; 1];
-        (&b).read_exact(&mut byte).unwrap();
-        assert_eq!(&byte, b"x");
     }
 
     #[test]
     fn reregister_changes_interest() {
-        let poll = Poll::new().unwrap();
-        let (a, b) = UnixStream::pair().unwrap();
-        b.set_nonblocking(true).unwrap();
-        use std::os::fd::AsRawFd;
-        (&a).write_all(b"y").unwrap();
-        poll.register(b.as_raw_fd(), Token(1), Interest::NONE)
-            .unwrap();
-        let mut events = Events::with_capacity(4);
-        // Interest NONE: pending bytes do not wake the poll.
-        let n = poll
-            .poll(&mut events, Some(Duration::from_millis(20)))
-            .unwrap();
-        assert_eq!(n, 0, "empty interest must not deliver readable");
-        poll.reregister(b.as_raw_fd(), Token(1), Interest::READABLE)
-            .unwrap();
-        let n = poll
-            .poll(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(n, 1);
-        // Level-triggered: still reported until drained.
-        let n = poll
-            .poll(&mut events, Some(Duration::from_millis(20)))
-            .unwrap();
-        assert_eq!(n, 1, "level-triggered readiness persists until read");
-        poll.deregister(b.as_raw_fd()).unwrap();
-        let n = poll
-            .poll(&mut events, Some(Duration::from_millis(20)))
-            .unwrap();
-        assert_eq!(n, 0, "deregistered fd delivers nothing");
+        for (backend, new_poll) in BACKENDS {
+            let mut poll = new_poll().unwrap();
+            let (a, b) = UnixStream::pair().unwrap();
+            b.set_nonblocking(true).unwrap();
+            (&a).write_all(b"y").unwrap();
+            poll.register(b.as_raw_fd(), Token(1), Interest::NONE)
+                .unwrap();
+            let mut events = Events::with_capacity(4);
+            // Interest NONE: pending bytes do not wake the poll.
+            let n = poll
+                .poll(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            assert_eq!(n, 0, "{backend}: empty interest must not deliver readable");
+            poll.reregister(b.as_raw_fd(), Token(1), Interest::READABLE)
+                .unwrap();
+            let n = poll
+                .poll(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(n, 1, "{backend}");
+            // Level-triggered: still reported until drained.
+            let n = poll
+                .poll(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            assert_eq!(
+                n, 1,
+                "{backend}: level-triggered readiness persists until read"
+            );
+            poll.deregister(b.as_raw_fd()).unwrap();
+            let n = poll
+                .poll(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            assert_eq!(n, 0, "{backend}: deregistered fd delivers nothing");
+            assert!(
+                poll.deregister(b.as_raw_fd()).is_err(),
+                "{backend}: a second deregister names the missing fd"
+            );
+        }
     }
 
     #[test]
     fn waker_wakes_a_blocked_poll_and_coalesces() {
-        let poll = Poll::new().unwrap();
-        let waker = std::sync::Arc::new(Waker::new().unwrap());
-        poll.register(waker.fd(), Token(0), Interest::READABLE)
-            .unwrap();
-        let mut events = Events::with_capacity(4);
-        let w = std::sync::Arc::clone(&waker);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            // Many wakes from another thread coalesce into >= 1 event.
-            for _ in 0..1000 {
-                w.wake();
+        for (backend, new_poll) in BACKENDS {
+            let mut poll = new_poll().unwrap();
+            let waker = std::sync::Arc::new(Waker::new().unwrap());
+            poll.register(waker.fd(), Token(0), Interest::READABLE)
+                .unwrap();
+            let mut events = Events::with_capacity(4);
+            let w = std::sync::Arc::clone(&waker);
+            let t = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                // Many wakes from another thread coalesce into >= 1 event.
+                for _ in 0..1000 {
+                    w.wake();
+                }
+            });
+            let n = poll
+                .poll(&mut events, Some(Duration::from_secs(10)))
+                .unwrap();
+            assert_eq!(n, 1, "{backend}");
+            assert_eq!(events.iter().next().unwrap().token(), Token(0));
+            t.join().unwrap();
+            waker.drain();
+            let n = poll
+                .poll(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            assert_eq!(n, 0, "{backend}: drained waker is quiet");
+        }
+    }
+
+    /// More ready fds than the event buffer holds: successive polls must
+    /// reach every one of them, not report the first ones forever.
+    #[test]
+    fn a_full_event_buffer_does_not_starve_later_fds() {
+        for (backend, new_poll) in BACKENDS {
+            let mut poll = new_poll().unwrap();
+            let pairs: Vec<(UnixStream, UnixStream)> =
+                (0..3).map(|_| UnixStream::pair().unwrap()).collect();
+            for (i, (peer, watched)) in pairs.iter().enumerate() {
+                (&*peer).write_all(b"x").unwrap();
+                poll.register(watched.as_raw_fd(), Token(i as u64), Interest::READABLE)
+                    .unwrap();
             }
-        });
-        let n = poll
-            .poll(&mut events, Some(Duration::from_secs(10)))
-            .unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(events.iter().next().unwrap().token(), Token(0));
-        t.join().unwrap();
-        waker.drain();
-        let n = poll
-            .poll(&mut events, Some(Duration::from_millis(20)))
-            .unwrap();
-        assert_eq!(n, 0, "drained waker is quiet");
+            let mut events = Events::with_capacity(1);
+            let mut seen = std::collections::BTreeSet::new();
+            for _ in 0..3 {
+                let n = poll
+                    .poll(&mut events, Some(Duration::from_secs(5)))
+                    .unwrap();
+                assert_eq!(n, 1, "{backend}");
+                seen.extend(events.iter().map(|ev| ev.token()));
+            }
+            assert_eq!(seen.len(), 3, "{backend}: every ready fd is reported");
+        }
+    }
+
+    /// Deregister, close, and reopen an fd under the same number: the
+    /// poll must report only the new registration's token. Other tests
+    /// open fds concurrently, so an attempt whose number was taken in
+    /// between is retried with a fresh fd.
+    #[test]
+    fn reused_fd_number_delivers_no_stale_event() {
+        for (backend, new_poll) in BACKENDS {
+            let mut poll = new_poll().unwrap();
+            let mut events = Events::with_capacity(8);
+            let mut reused = false;
+            for _ in 0..50 {
+                let (old_peer, old) = UnixStream::pair().unwrap();
+                let old_fd = old.as_raw_fd();
+                (&old_peer).write_all(b"stale").unwrap();
+                poll.register(old_fd, Token(1), Interest::READABLE).unwrap();
+                poll.deregister(old_fd).unwrap();
+                drop(old);
+                drop(old_peer);
+                let (peer, new) = UnixStream::pair().unwrap();
+                let (mut writer, target) = if new.as_raw_fd() == old_fd {
+                    (&peer, &new)
+                } else if peer.as_raw_fd() == old_fd {
+                    (&new, &peer)
+                } else {
+                    continue;
+                };
+                reused = true;
+                poll.register(old_fd, Token(2), Interest::READABLE).unwrap();
+                writer.write_all(b"fresh").unwrap();
+                let n = poll
+                    .poll(&mut events, Some(Duration::from_secs(5)))
+                    .unwrap();
+                assert_eq!(n, 1, "{backend}: one registration, one event");
+                let tokens: Vec<Token> = events.iter().map(|ev| ev.token()).collect();
+                assert_eq!(tokens, vec![Token(2)], "{backend}: no stale token");
+                poll.deregister(target.as_raw_fd()).unwrap();
+                break;
+            }
+            assert!(reused, "{backend}: the fd number was never reused");
+        }
     }
 
     #[test]
@@ -651,14 +1045,16 @@ mod tests {
 
     #[test]
     fn poll_timeout_rounds_up_not_down() {
-        let poll = Poll::new().unwrap();
-        let mut events = Events::with_capacity(1);
-        let start = Instant::now();
-        let n = poll
-            .poll(&mut events, Some(Duration::from_micros(1500)))
-            .unwrap();
-        assert_eq!(n, 0);
-        // 1.5ms rounds up to 2ms, never down to 1ms-and-spin.
-        assert!(start.elapsed() >= Duration::from_millis(1));
+        for (backend, new_poll) in BACKENDS {
+            let mut poll = new_poll().unwrap();
+            let mut events = Events::with_capacity(1);
+            let start = Instant::now();
+            let n = poll
+                .poll(&mut events, Some(Duration::from_micros(1500)))
+                .unwrap();
+            assert_eq!(n, 0, "{backend}");
+            // 1.5ms rounds up to 2ms, never down to 1ms-and-spin.
+            assert!(start.elapsed() >= Duration::from_millis(1), "{backend}");
+        }
     }
 }

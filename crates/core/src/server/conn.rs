@@ -21,11 +21,10 @@
 //! evictions, and BUSY sheds (which continue to `ShedDraining` instead
 //! of back to `ReadingHeader`).
 //!
-//! Every counter side effect replicates the threaded core's order
-//! exactly (count-before-write for replies and error frames,
-//! count-on-flush for eviction/BUSY frames), which is what lets the
-//! parity suite assert byte-identical [`ServerMetrics`] snapshots
-//! across the two cores. This module handles attacker-controlled bytes
+//! Every counter side effect has one fixed order (count-before-write
+//! for replies and error frames, count-on-flush for eviction/BUSY
+//! frames), which is what lets the scenario suite assert exact
+//! [`ServerMetrics`] snapshots. This module handles attacker-controlled bytes
 //! and is on authlint's untrusted list: no panics, no slice indexing.
 
 use super::{frame_budget, oversize_message, MAX_REQUEST_PAYLOAD};
@@ -64,9 +63,9 @@ impl ConnStream for std::net::TcpStream {
 /// borrowed per call so tests can drive a [`Conn`] with nothing but
 /// default-constructed metrics.
 pub(crate) struct ConnEnv<'a> {
-    /// Request/reply counters (the cross-core parity surface).
+    /// Request/reply counters (the exact-metrics surface).
     pub metrics: &'a ServerMetrics,
-    /// Syscall counters (diagnostics; intentionally per-core).
+    /// Syscall counters (diagnostics).
     pub transport: &'a TransportStats,
     /// Per-gap idle deadline; zero disables read-side eviction.
     pub idle_deadline: Duration,
@@ -101,8 +100,7 @@ enum State {
     },
     /// A full request is on a pool worker; no deadline runs (server
     /// compute time is never charged to the peer) and no bytes are
-    /// read (requests are served one at a time, like the threaded
-    /// core).
+    /// read (requests are served one at a time).
     Dispatched,
     /// Flushing `reply_head` + `reply_body` through vectored writes.
     Writing {
@@ -111,8 +109,7 @@ enum State {
         /// Total flush budget for this frame.
         bound: Duration,
         /// Whether a blown write budget counts as a timed-out
-        /// connection (true only for OK replies, mirroring the
-        /// threaded core).
+        /// connection (true only for OK replies).
         count_timeout_on_stall: bool,
         /// `bytes_out` to add only once the frame fully flushes
         /// (eviction and BUSY frames; zero for frames already counted
@@ -156,20 +153,18 @@ pub(crate) enum Want {
     /// Wait for writable.
     Write,
     /// No events wanted (dispatched to the pool; completion arrives via
-    /// the waker, and peer-close is deliberately ignored until then so
-    /// `requests_ok` stays identical to the threaded core, which also
-    /// finishes computing before discovering the peer died).
+    /// the waker, and peer-close is deliberately ignored until then: a
+    /// dispatched query finishes and counts in `requests_ok` even if
+    /// the peer died meanwhile).
     None,
 }
 
 /// How many `read` calls the shed drain will make before giving up on
-/// a peer that keeps talking (mirrors the threaded core's bounded
-/// drain loop).
+/// a peer that keeps talking.
 const SHED_DRAIN_MAX_READS: u32 = 64;
 
 /// How long the shed drain waits for the peer's next byte (or close)
-/// before closing anyway (mirrors the threaded core's 100 ms drain
-/// read timeout).
+/// before closing anyway.
 const SHED_DRAIN_GAP: Duration = Duration::from_millis(100);
 
 /// One connection's complete transport state. Buffers are reused
@@ -249,8 +244,8 @@ impl<S: ConnStream> Conn<S> {
                 conn.write_start = now;
                 conn.state = State::Writing {
                     after: AfterWrite::ShedDrain,
-                    // Mirrors the threaded shed path's 500 ms write
-                    // timeout: a refusal is not worth a long wait.
+                    // A 500 ms write bound: a refusal is not worth a
+                    // long wait.
                     bound: Duration::from_millis(500),
                     count_timeout_on_stall: false,
                     count_bytes_on_flush: frame_len,
@@ -342,7 +337,6 @@ impl<S: ConnStream> Conn<S> {
             match self.state {
                 State::ReadingHeader => {
                     let filled = self.hdr_filled;
-                    let was_empty = filled == 0;
                     env.transport.reads.fetch_add(1, Ordering::Relaxed);
                     let read = {
                         let buf = self.hdr.get_mut(filled..).unwrap_or(&mut []);
@@ -352,8 +346,7 @@ impl<S: ConnStream> Conn<S> {
                         Ok(0) => {
                             // EOF between frames is a clean goodbye;
                             // EOF mid-header is a peer dying — either
-                            // way, just close (parity: no counters).
-                            let _ = was_empty;
+                            // way, just close (no counters).
                             return Step::Close;
                         }
                         Ok(n) => {
@@ -433,9 +426,7 @@ impl<S: ConnStream> Conn<S> {
                     );
                     return Some(Step::Idle);
                 }
-                // The total-budget clock for the payload starts now,
-                // exactly like the threaded core's per-read_full
-                // budget.
+                // The total-budget clock for the payload starts now.
                 self.frame_start = Instant::now();
                 self.payload.clear();
                 self.payload.resize(len, 0);
@@ -477,7 +468,7 @@ impl<S: ConnStream> Conn<S> {
 
     /// Begin an OK reply (`head` + `body`, already encoded by the
     /// worker). Counts `requests_ok` and `bytes_out` **before** the
-    /// first write — the threaded core's order — and charges a blown
+    /// first write, and charges a blown
     /// flush budget as a timed-out connection.
     pub(crate) fn begin_ok_reply(
         &mut self,
@@ -504,8 +495,7 @@ impl<S: ConnStream> Conn<S> {
     }
 
     /// Begin a coded error reply. Counts `requests_err` and
-    /// `bytes_out` up front (threaded parity: `send_error_frame`
-    /// counts before writing, unconditionally). `after` decides
+    /// `bytes_out` up front, before writing, unconditionally. `after` decides
     /// whether the connection survives (decodable-but-bad requests) or
     /// closes (unsynchronizable bytes, oversize declarations).
     fn begin_error_reply(&mut self, env: &ConnEnv<'_>, code: u8, message: &str, after: AfterWrite) {
@@ -542,8 +532,8 @@ impl<S: ConnStream> Conn<S> {
         self.begin_error_reply(env, code, message, AfterWrite::NextRequest);
     }
 
-    /// Begin an idle eviction: count the timed-out connection **now**
-    /// (threaded parity), send the TIMEOUT frame best-effort (its
+    /// Begin an idle eviction: count the timed-out connection **now**,
+    /// send the TIMEOUT frame best-effort (its
     /// bytes count only if it fully flushes), close after.
     pub(crate) fn begin_evict(&mut self, env: &ConnEnv<'_>, message: &str) {
         env.metrics
@@ -607,7 +597,7 @@ impl<S: ConnStream> Conn<S> {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Step::Idle,
                 // Hard write error: close without the timed-out count
-                // (threaded parity — only stalls count).
+                // (only stalls count).
                 Err(_) => return Step::Close,
             }
         }
@@ -1223,7 +1213,7 @@ mod tests {
     fn pipelined_second_request_waits_until_reply_flushes() {
         // Two requests arrive back to back; the state machine must
         // consume exactly one, serve it, and only then read the next —
-        // the threaded core's one-at-a-time contract.
+        // the one-at-a-time contract.
         let frame = request_frame();
         let mut both = frame.clone();
         both.extend_from_slice(&frame);

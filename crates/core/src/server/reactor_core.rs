@@ -1,5 +1,5 @@
-//! The event-driven transport core: one thread, one `epoll` instance,
-//! every connection a [`Conn`] state machine.
+//! The server's transport: one thread, one [`Poll`], every connection
+//! a [`Conn`] state machine.
 //!
 //! The loop owns three kinds of registrations: the listener (accept
 //! readiness), the [`Waker`] (pool completions and shutdown), and one
@@ -18,8 +18,8 @@
 //! complete request is decoded on the loop, dispatched with
 //! [`super::execute_job`], and the encoded reply (or its error) comes
 //! back through a completion queue + waker. A `threads = 1` deployment
-//! degenerates exactly like the threaded core: `submit` runs the job
-//! inline and the completion is queued before `submit` returns.
+//! runs the paper's sequential model: `submit` runs the job inline and
+//! the completion is queued before `submit` returns.
 
 use super::conn::{Conn, ConnEnv, ConnStream, EncodedReply, Step, Want};
 use super::{busy_message, effective_write_timeout, execute_job, prepare_job, Shared};
@@ -92,7 +92,7 @@ impl Drop for CompletionGuard {
     }
 }
 
-/// Shutdown machinery for the reactor core.
+/// Shutdown machinery for the event loop.
 pub(super) struct ReactorHandle {
     thread: Option<JoinHandle<()>>,
     inner: Arc<ReactorInner>,
@@ -111,11 +111,14 @@ impl ReactorHandle {
     }
 }
 
-/// Build the poll + waker (propagating setup errors to `Server::start`)
-/// and spawn the loop thread.
-pub(super) fn start(listener: TcpListener, shared: Arc<Shared>) -> io::Result<ReactorHandle> {
+/// Register the listener and a fresh waker on `poll` (propagating setup
+/// errors to `Server::start`) and spawn the loop thread.
+pub(super) fn start(
+    listener: TcpListener,
+    mut poll: Poll,
+    shared: Arc<Shared>,
+) -> io::Result<ReactorHandle> {
     listener.set_nonblocking(true)?;
-    let poll = Poll::new()?;
     let waker = Waker::new()?;
     poll.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
     poll.register(waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
@@ -143,8 +146,8 @@ pub(super) fn start(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Re
 struct Slot {
     conn: Conn<TcpStream>,
     fd: RawFd,
-    /// Interest currently registered with epoll (re-registered only on
-    /// change).
+    /// Interest currently registered with the poll (re-registered only
+    /// on change).
     interest: Interest,
     /// The instant the currently-armed wheel entry targets, if any.
     armed_until: Option<Instant>,
@@ -155,7 +158,7 @@ struct Slot {
 
 struct EventLoop {
     poll: Poll,
-    /// `None` once shutdown begins (dropping it closes + deregisters).
+    /// `None` once shutdown begins (deregistered, then closed).
     listener: Option<TcpListener>,
     shared: Arc<Shared>,
     inner: Arc<ReactorInner>,
@@ -165,9 +168,8 @@ struct EventLoop {
     /// Set while the listener is deaf after an accept error (EMFILE);
     /// a wheel entry re-enables it.
     listener_paused: bool,
-    /// Live admitted connections — the reactor's equivalent of the
-    /// threaded core's registry size, and the value the admission cap
-    /// and `active_highwater` are checked against.
+    /// Live admitted connections — the value the admission cap and
+    /// `active_highwater` are checked against.
     admitted: u64,
     /// Live shed handshakes, bounded by
     /// [`super::MAX_SHED_HANDSHAKES`].
@@ -280,12 +282,14 @@ impl EventLoop {
     }
 
     /// Stop accepting and close every connection that is not owed a
-    /// reply (threaded parity: blocked readers see the flag and close;
-    /// handlers mid-compute or mid-write finish and deliver).
+    /// reply (idle readers close at the next sweep; connections
+    /// mid-compute or mid-write finish and deliver).
     fn begin_shutdown(&mut self) {
         self.shutting_down = true;
-        // Dropping the listener closes its fd, which deregisters it.
-        self.listener = None;
+        if let Some(listener) = self.listener.take() {
+            // lint:allow(swallowed-result): deregister fails only for an fd not in the set, which is the state wanted before the listener closes
+            let _ = self.poll.deregister(listener.as_raw_fd());
+        }
     }
 
     /// During shutdown: reap connections that have drifted back to a
@@ -322,8 +326,8 @@ impl EventLoop {
                 Err(_) => {
                     // EMFILE and friends: go deaf for one poll interval
                     // instead of spinning on a resource-starved host
-                    // (the threaded core sleeps here; the loop must
-                    // not, so it parks the listener on the wheel).
+                    // (the loop must not sleep, so it parks the
+                    // listener on the wheel).
                     self.pause_listener();
                     return;
                 }
@@ -374,8 +378,7 @@ impl EventLoop {
     }
 
     /// One accepted socket: admit it as a connection, or shed it with
-    /// a BUSY handshake (silently under a connect flood), with the
-    /// same counter order as the threaded acceptor.
+    /// a BUSY handshake (silently under a connect flood).
     fn admit(&mut self, stream: TcpStream) {
         let shared = Arc::clone(&self.shared);
         if stream.set_nonblocking(true).is_err() {
@@ -450,10 +453,9 @@ impl EventLoop {
             return; // stale event for an id already closed
         };
         if slot.conn.is_dispatched() {
-            // Deliberately ignored: the threaded core also finishes
-            // computing before discovering a dead peer, which is what
-            // keeps `requests_ok` identical across cores. The write
-            // after completion will surface the hangup.
+            // Deliberately ignored: a dispatched query finishes and is
+            // counted in `requests_ok` even if the peer left meanwhile.
+            // The write after completion will surface the hangup.
             return;
         }
         self.pump(id);
@@ -576,7 +578,7 @@ impl EventLoop {
         }
     }
 
-    /// Reconcile one connection's epoll interest and wheel entry with
+    /// Reconcile one connection's poll interest and wheel entry with
     /// its state machine's current wants.
     fn settle(&mut self, id: u64, env: &ConnEnv<'_>) {
         let Some(slot) = self.conns.get_mut(&id) else {
@@ -618,11 +620,12 @@ impl EventLoop {
         }
     }
 
-    /// Remove and drop one connection (closing the socket deregisters
-    /// it); wheel entries go stale and liveness counters roll back.
+    /// Deregister and drop one connection (deregistering first: under
+    /// `poll(2)` a closed fd would stay in the set); wheel entries go
+    /// stale and liveness counters roll back.
     fn close_conn(&mut self, id: u64) {
         if let Some(slot) = self.conns.remove(&id) {
-            // lint:allow(swallowed-result): dropping the socket closes the fd, which deregisters it implicitly
+            // lint:allow(swallowed-result): deregister fails only for an fd not in the set, which is the state wanted before the socket closes
             let _ = self.poll.deregister(slot.fd);
             if slot.shed {
                 self.shed_live = self.shed_live.saturating_sub(1);
@@ -633,7 +636,7 @@ impl EventLoop {
     }
 }
 
-/// Map a state machine's [`Want`] onto an epoll [`Interest`].
+/// Map a state machine's [`Want`] onto a poll [`Interest`].
 fn want_interest(want: Want) -> Interest {
     match want {
         Want::Read => Interest::READABLE,

@@ -4,8 +4,6 @@
 //! 128-bit digests by truncating SHA-256 output, which preserves one-wayness
 //! and collision resistance at the 64-bit security level — the same level the
 //! paper assumes for MD5-sized digests — while avoiding MD5's known breaks.
-//! MD5 and SHA-1 are also provided (see [`crate::md5`] and [`crate::sha1`])
-//! for completeness and historical comparison benches.
 
 use crate::sha256::Sha256;
 use std::fmt;

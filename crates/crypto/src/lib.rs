@@ -5,8 +5,8 @@
 //!
 //! * [`Digest`] — the 128-bit one-way hash used everywhere (truncated
 //!   SHA-256; the paper's Table 1 fixes |h| = 128 bits).
-//! * [`sha256::Sha256`], [`sha1::Sha1`], [`md5::Md5`] — streaming hash
-//!   implementations from FIPS 180-4 / RFC 1321 with standard test vectors.
+//! * [`sha256::Sha256`] — streaming SHA-256 from FIPS 180-4 with the
+//!   standard test vectors.
 //! * [`bignum::BigUint`] — arbitrary-precision arithmetic (Knuth Algorithm D
 //!   division, windowed modular exponentiation in Montgomery form via
 //!   [`bignum::Montgomery`], Miller–Rabin primes).
@@ -25,10 +25,8 @@ pub mod bignum;
 pub mod chain;
 pub mod digest;
 pub mod keys;
-pub mod md5;
 pub mod merkle;
 pub mod rsa;
-pub mod sha1;
 pub mod sha256;
 
 pub use chain::{reconstruct_head, ChainMht, ChainPrefixProof};
