@@ -3,7 +3,7 @@
 
 use authsearch_crypto::bignum::{BigUint, Montgomery};
 use authsearch_crypto::keys::{cached_keypair, PAPER_KEY_BITS};
-use authsearch_crypto::sha256::Sha256;
+use authsearch_crypto::sha256::{self, Sha256};
 use authsearch_crypto::{ChainMht, Digest, MerkleTree};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
@@ -25,6 +25,26 @@ fn hash_functions(c: &mut Criterion) {
             b.iter(|| Sha256::digest(d))
         });
     }
+    // The fixed shapes the authentication structures hash: a Merkle
+    // internal node (two digests, one pre-padded block) and the longest
+    // message that still fits one block (the signed `doc` message is 54).
+    let (left, right) = (Digest::hash(b"left"), Digest::hash(b"right"));
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("combine", |b| b.iter(|| Digest::combine(&left, &right)));
+    let one_block = [0x5au8; sha256::ONE_BLOCK_MAX];
+    group.bench_function("digest_55_bytes", |b| b.iter(|| Digest::hash(&one_block)));
+    // The compression function alone: the dispatched backend (SHA-NI
+    // where the CPU has it) against the scalar reference.
+    let blocks = vec![0xabu8; 1024];
+    group.throughput(Throughput::Bytes(blocks.len() as u64));
+    group.bench_function("compress_dispatched", |b| {
+        let mut state = [0x6a09_e667u32; 8];
+        b.iter(|| sha256::compress(&mut state, &blocks))
+    });
+    group.bench_function("compress_scalar", |b| {
+        let mut state = [0x6a09_e667u32; 8];
+        b.iter(|| sha256::compress_scalar(&mut state, &blocks))
+    });
     group.finish();
 }
 

@@ -5,7 +5,7 @@
 //! and collision resistance at the 64-bit security level — the same level the
 //! paper assumes for MD5-sized digests — while avoiding MD5's known breaks.
 
-use crate::sha256::Sha256;
+use crate::sha256::{self, Sha256};
 use std::fmt;
 
 /// Size of a digest in bytes (128 bits, per Table 1 of the paper).
@@ -23,12 +23,11 @@ impl Digest {
     pub const ZERO: Digest = Digest([0u8; DIGEST_LEN]);
 
     /// Hash an arbitrary byte string into a 128-bit digest
-    /// (SHA-256 truncated to the first 16 bytes).
+    /// (SHA-256 truncated to the first 16 bytes). Inputs of at most
+    /// [`sha256::ONE_BLOCK_MAX`] bytes — every leaf encoding and signed
+    /// message — cost one compression.
     pub fn hash(data: &[u8]) -> Digest {
-        let full = Sha256::digest(data);
-        let mut out = [0u8; DIGEST_LEN];
-        out.copy_from_slice(&full[..DIGEST_LEN]);
-        Digest(out)
+        Digest::truncate(&Sha256::digest(data))
     }
 
     /// Hash the concatenation of several byte strings without materializing
@@ -38,15 +37,27 @@ impl Digest {
         for p in parts {
             hasher.update(p);
         }
-        let full = hasher.finalize();
+        Digest::truncate(&hasher.finalize())
+    }
+
+    /// `h(left | right)` — the Merkle internal-node combiner. The 32-byte
+    /// message and its fixed padding fill exactly one block, built in
+    /// place and compressed once.
+    pub fn combine(left: &Digest, right: &Digest) -> Digest {
+        let mut block = [0u8; 64];
+        block[..DIGEST_LEN].copy_from_slice(&left.0);
+        block[DIGEST_LEN..2 * DIGEST_LEN].copy_from_slice(&right.0);
+        block[2 * DIGEST_LEN] = 0x80;
+        // Message length in bits (256), big-endian in the last 8 bytes.
+        block[56..].copy_from_slice(&(2 * DIGEST_LEN as u64 * 8).to_be_bytes());
+        Digest::truncate(&sha256::digest_padded_block(&block))
+    }
+
+    /// The first [`DIGEST_LEN`] bytes of a SHA-256 output.
+    fn truncate(full: &[u8; 32]) -> Digest {
         let mut out = [0u8; DIGEST_LEN];
         out.copy_from_slice(&full[..DIGEST_LEN]);
         Digest(out)
-    }
-
-    /// `h(left | right)` — the Merkle internal-node combiner.
-    pub fn combine(left: &Digest, right: &Digest) -> Digest {
-        Digest::hash_parts(&[&left.0, &right.0])
     }
 
     /// Raw bytes of the digest.
@@ -89,6 +100,8 @@ impl fmt::Display for Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn digest_is_deterministic() {
@@ -101,6 +114,31 @@ mod tests {
         let cat = Digest::hash(b"hello world");
         let parts = Digest::hash_parts(&[b"hello", b" ", b"world"]);
         assert_eq!(cat, parts);
+    }
+
+    #[test]
+    fn combine_equals_hash_parts() {
+        let mut rng = StdRng::seed_from_u64(32);
+        for _ in 0..500 {
+            let (mut l, mut r) = (Digest::ZERO, Digest::ZERO);
+            rng.fill(&mut l.0);
+            rng.fill(&mut r.0);
+            assert_eq!(Digest::combine(&l, &r), Digest::hash_parts(&[&l.0, &r.0]));
+        }
+    }
+
+    #[test]
+    fn one_block_hash_equals_streaming() {
+        let mut rng = StdRng::seed_from_u64(55);
+        for len in 0..=sha256::ONE_BLOCK_MAX + 9 {
+            let mut data = vec![0u8; len];
+            rng.fill(&mut data);
+            let one_shot = Digest::hash(&data);
+            for cut in 0..=len {
+                let (a, b) = data.split_at(cut);
+                assert_eq!(Digest::hash_parts(&[a, b]), one_shot, "len={len} cut={cut}");
+            }
+        }
     }
 
     #[test]

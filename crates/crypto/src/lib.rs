@@ -5,8 +5,10 @@
 //!
 //! * [`Digest`] — the 128-bit one-way hash used everywhere (truncated
 //!   SHA-256; the paper's Table 1 fixes |h| = 128 bits).
-//! * [`sha256::Sha256`] — streaming SHA-256 from FIPS 180-4 with the
-//!   standard test vectors.
+//! * [`sha256`] — SHA-256 from FIPS 180-4: a SHA-NI compression function
+//!   on x86_64 CPUs that have it, the portable scalar one otherwise (and
+//!   as the differential-test oracle), and one-block paths for the short
+//!   fixed-shape messages the authentication structures hash.
 //! * [`bignum::BigUint`] — arbitrary-precision arithmetic (Knuth Algorithm D
 //!   division, windowed modular exponentiation in Montgomery form via
 //!   [`bignum::Montgomery`], Miller–Rabin primes).

@@ -152,6 +152,7 @@ impl Default for Config {
                 "crates/core/src/pool.rs".into(),
                 "crates/core/src/reactor.rs".into(),
                 "crates/bench/src/bin/bench_pr9.rs".into(),
+                "crates/crypto/src/sha256/x86.rs".into(),
             ],
             reactor_modules: vec![
                 "crates/core/src/server/reactor_core.rs".into(),
