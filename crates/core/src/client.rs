@@ -285,6 +285,33 @@ impl RetryPolicy {
     }
 }
 
+/// Open a stream to the first of `addr`'s resolved candidates that
+/// accepts, each dial bounded by `timeout` when given, with
+/// `TCP_NODELAY` set: request and reply frames are small, and Nagle
+/// batching would add a delayed-ACK round trip to every exchange.
+fn dial<A: ToSocketAddrs>(addr: A, timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let mut last_err: Option<io::Error> = None;
+    for candidate in addr.to_socket_addrs()? {
+        let dialed = match timeout {
+            Some(timeout) => TcpStream::connect_timeout(&candidate, timeout),
+            None => TcpStream::connect(candidate),
+        };
+        match dialed {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(last_err.unwrap_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "address resolved to no candidates",
+        )
+    }))
+}
+
 /// A verifying client connected to a running [`crate::server`]: sends
 /// framed queries, receives framed responses, and accepts **nothing**
 /// until the VO inside checks out against the owner's public
@@ -296,9 +323,6 @@ pub struct Connection {
     /// retry-on-busy path needs a fresh socket — a shed connection is
     /// closed by the server right after the BUSY frame).
     addr: SocketAddr,
-    /// Whether sockets are opened with `TCP_NODELAY` (see
-    /// [`Connection::connect_with_nodelay`]).
-    nodelay: bool,
     /// The stream's framing can no longer be trusted (a reply header
     /// failed to parse, so the next frame boundary is unknown). Every
     /// subsequent operation fails fast instead of misreading stale
@@ -315,32 +339,7 @@ impl Connection {
     /// Connect to a server and verify against `params` (obtained from
     /// the data owner's broadcast, *not* from the server).
     pub fn connect<A: ToSocketAddrs>(addr: A, params: VerifierParams) -> io::Result<Connection> {
-        Connection::connect_with_nodelay(addr, params, true)
-    }
-
-    /// [`Connection::connect`] with `TCP_NODELAY` explicit. The default
-    /// (`true`) is right for this protocol — request and reply frames
-    /// are small, and Nagle batching adds a delayed-ACK round trip to
-    /// every exchange; `false` exists for measurement (`bench_pr5`
-    /// records the latency gap).
-    pub fn connect_with_nodelay<A: ToSocketAddrs>(
-        addr: A,
-        params: VerifierParams,
-        nodelay: bool,
-    ) -> io::Result<Connection> {
-        let stream = TcpStream::connect(addr)?;
-        if nodelay {
-            stream.set_nodelay(true)?;
-        }
-        let addr = stream.peer_addr()?;
-        Ok(Connection {
-            stream,
-            client: Client::new(params),
-            addr,
-            nodelay,
-            desynced: false,
-            dial_timeout: None,
-        })
+        Connection::open(addr, params, None)
     }
 
     /// [`Connection::connect`] with a bound on the TCP handshake
@@ -356,43 +355,25 @@ impl Connection {
         params: VerifierParams,
         timeout: Duration,
     ) -> io::Result<Connection> {
-        Connection::connect_timeout_with_nodelay(addr, params, timeout, true)
+        Connection::open(addr, params, Some(timeout))
     }
 
-    /// [`Connection::connect_timeout`] with `TCP_NODELAY` explicit (see
-    /// [`Connection::connect_with_nodelay`] for the trade-off).
-    pub fn connect_timeout_with_nodelay<A: ToSocketAddrs>(
+    /// Dial `addr` and wrap the stream; `dial_timeout` is remembered
+    /// for [`Connection::reconnect`].
+    fn open<A: ToSocketAddrs>(
         addr: A,
         params: VerifierParams,
-        timeout: Duration,
-        nodelay: bool,
+        dial_timeout: Option<Duration>,
     ) -> io::Result<Connection> {
-        let mut last_err: Option<io::Error> = None;
-        for candidate in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&candidate, timeout) {
-                Ok(stream) => {
-                    if nodelay {
-                        stream.set_nodelay(true)?;
-                    }
-                    let addr = stream.peer_addr()?;
-                    return Ok(Connection {
-                        stream,
-                        client: Client::new(params),
-                        addr,
-                        nodelay,
-                        desynced: false,
-                        dial_timeout: Some(timeout),
-                    });
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "address resolved to no candidates",
-            )
-        }))
+        let stream = dial(addr, dial_timeout)?;
+        let addr = stream.peer_addr()?;
+        Ok(Connection {
+            stream,
+            client: Client::new(params),
+            addr,
+            desynced: false,
+            dial_timeout,
+        })
     }
 
     /// Drop the current socket and dial the same server again, clearing
@@ -401,14 +382,7 @@ impl Connection {
     /// opened with [`Connection::connect_timeout`] redials under the
     /// same bound.
     pub fn reconnect(&mut self) -> io::Result<()> {
-        let stream = match self.dial_timeout {
-            Some(timeout) => TcpStream::connect_timeout(&self.addr, timeout)?,
-            None => TcpStream::connect(self.addr)?,
-        };
-        if self.nodelay {
-            stream.set_nodelay(true)?;
-        }
-        self.stream = stream;
+        self.stream = dial(self.addr, self.dial_timeout)?;
         self.desynced = false;
         Ok(())
     }

@@ -102,7 +102,7 @@ impl ServerMetrics {
 /// it served.
 ///
 /// Read with [`TransportStats::snapshot`]; divide by `requests_ok` for
-/// the syscalls-per-query figure reported in `BENCH_PR9.json`.
+/// the syscalls-per-query figure.
 #[derive(Debug, Default)]
 pub struct TransportStats {
     /// `accept(2)` attempts (including the final `EAGAIN` probe that

@@ -119,11 +119,6 @@ pub struct ServerConfig {
     /// pipe). `Duration::ZERO` falls back to the 30-second default
     /// rather than disabling the bound.
     pub write_timeout: Duration,
-    /// `TCP_NODELAY` on connection sockets (default on: request/reply
-    /// frames are small, and Nagle batching just adds a delayed-ACK
-    /// round trip to every exchange). Off exists for measurement —
-    /// `bench_pr5` records the latency gap.
-    pub nodelay: bool,
     /// Where [`Server::start_booted`] looks for (and heals) the
     /// authenticated snapshot
     /// ([`crate::AuthenticatedIndex::save_snapshot`]). `None` (the
@@ -145,7 +140,6 @@ impl Default for ServerConfig {
                 .map(|ms| Duration::from_millis(ms as u64))
                 .unwrap_or(DEFAULT_IDLE_DEADLINE),
             write_timeout: DEFAULT_WRITE_TIMEOUT,
-            nodelay: true,
             snapshot_path: None,
         }
     }
@@ -524,8 +518,8 @@ impl ServerHandle {
     /// Transport-level diagnostics: syscalls issued by the event loop
     /// (reads, writes, accepts, poll wakeups). Kept apart from
     /// [`ServerMetricsSnapshot`]: these count how the bytes moved, not
-    /// what was served (syscalls per query is the figure `bench_pr9`
-    /// reports).
+    /// what was served (divide by `requests_ok` for syscalls per
+    /// query).
     pub fn transport_stats(&self) -> TransportStatsSnapshot {
         self.shared.transport.snapshot()
     }

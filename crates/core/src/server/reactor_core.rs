@@ -385,7 +385,8 @@ impl EventLoop {
             return;
         }
         let max = shared.config.max_connections;
-        if max > 0 && self.admitted >= max as u64 {
+        let shed = max > 0 && self.admitted >= max as u64;
+        if shed {
             shared
                 .metrics
                 .connections_shed
@@ -395,18 +396,17 @@ impl EventLoop {
                 // is the only shed that cannot be weaponized.
                 return;
             }
-            // lint:allow(swallowed-result): TCP_NODELAY is a latency knob; a shed handshake works without it
-            let _ = stream.set_nodelay(true);
-            let fd = stream.as_raw_fd();
+        }
+        // lint:allow(swallowed-result): TCP_NODELAY is a latency knob; the connection (or shed handshake) is correct without it
+        let _ = stream.set_nodelay(true);
+        let fd = stream.as_raw_fd();
+        if shed {
             let conn = Conn::new_shed(stream, &busy_message(max), Instant::now());
             self.shed_live += 1;
             self.install(conn, fd, true);
             return;
         }
         shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        // lint:allow(swallowed-result): TCP_NODELAY is a latency knob; the connection is correct without it
-        let _ = stream.set_nodelay(shared.config.nodelay);
-        let fd = stream.as_raw_fd();
         let conn = Conn::new(stream, Instant::now());
         self.admitted += 1;
         shared

@@ -249,8 +249,8 @@ impl RsaPublicKey {
     }
 
     /// Verify using the schoolbook (division-based) exponentiation — the
-    /// pre-Montgomery implementation, kept as the baseline for the
-    /// perf-trajectory benchmarks (`BENCH_PR1.json`).
+    /// pre-Montgomery implementation, kept as a test oracle and as the
+    /// baseline row of the `crypto` criterion bench.
     #[doc(hidden)]
     pub fn verify_schoolbook_reference(
         &self,
@@ -396,8 +396,9 @@ impl RsaPrivateKey {
     }
 
     /// Sign via CRT but with the schoolbook (division-based) modular
-    /// exponentiation — the pre-Montgomery implementation, kept as the
-    /// baseline for the perf-trajectory benchmarks (`BENCH_PR1.json`).
+    /// exponentiation — the pre-Montgomery implementation, kept as a
+    /// test oracle and as the baseline row of the `crypto` criterion
+    /// bench.
     #[doc(hidden)]
     pub fn sign_schoolbook_reference(&self, message: &[u8]) -> Result<Vec<u8>, RsaError> {
         let em = pkcs1_v15_encode(message, self.public.k)?;

@@ -8,7 +8,7 @@
 //! width.
 
 use authsearch::core::wire;
-use authsearch::core::{verify_conjunctive, Query};
+use authsearch::core::{verify, verify_conjunctive, Query};
 use authsearch::prelude::*;
 use proptest::prelude::*;
 
@@ -198,4 +198,40 @@ fn disjoint_terms_verify_as_provably_empty() {
         }
         assert!(found, "{}: no disjoint term pair found", mechanism.name());
     }
+}
+
+/// The reason the conjunctive VO exists, as a byte count: under
+/// TRA-MHT, proving the intersection costs strictly fewer encoded VO
+/// bytes than the only sound client-side alternative — fetching every
+/// query term's *entire* posting list as a single-term query
+/// (`r = num_docs`), verifying each, and intersecting locally.
+#[test]
+fn conjunctive_vo_is_smaller_than_fetch_and_intersect() {
+    const R: usize = 10;
+    let (engine, params) = build_engine(Mechanism::TraMht, 120, 41);
+    let auth = engine.auth();
+    let corpus = engine.corpus();
+    let num_docs = corpus.num_docs();
+    let term_sets = authsearch::corpus::workload::synthetic(auth.index().num_terms(), 8, 2, 17);
+
+    let (mut conjunctive_bytes, mut fetch_bytes) = (0usize, 0usize);
+    for terms in &term_sets {
+        let query = Query::from_term_ids(auth.index(), terms);
+        let response = auth.query_conjunctive(&query, R, corpus);
+        verify_conjunctive(&params, &query, R, &response).expect("honest conjunctive VO verifies");
+        conjunctive_bytes += wire::encode(&response.vo).unwrap().len();
+
+        for qt in &query.terms {
+            let single = Query::from_term_pairs(auth.index(), &[(qt.term, qt.f_qt)]);
+            let response = auth.query(&single, num_docs, corpus);
+            verify(&params, &single, num_docs, &response).expect("honest full-list VO verifies");
+            fetch_bytes += wire::encode(&response.vo).unwrap().len();
+        }
+    }
+    assert!(
+        conjunctive_bytes < fetch_bytes,
+        "conjunctive VOs ({conjunctive_bytes} B) not smaller than fetch-and-intersect \
+         ({fetch_bytes} B) over {} queries",
+        term_sets.len()
+    );
 }
